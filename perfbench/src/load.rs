@@ -45,6 +45,12 @@ pub const LADDER_STEP: f64 = 1.05;
 /// Highest ladder rate, requests/s.
 pub const LADDER_TOP: f64 = 40_000.0;
 
+/// Length of one ladder rung's window, seconds.
+pub const PROBE_SECONDS: f64 = 0.4;
+
+/// Length of the closed-loop warm-up before the measurement, seconds.
+pub const WARMUP_SECONDS: f64 = 0.3;
+
 /// Requests one window may send on one connection; the server rotates
 /// connections after 10 000, and a window always opens fresh ones.
 const PER_CONNECTION_CAP: f64 = 9_000.0;

@@ -1,9 +1,8 @@
 //! `perfbench` — the compiled half of the benchmark (`run.py` drives it).
 //!
 //! ```text
-//! perfbench load   --addr HOST:PORT --seed N --slots-per-hour S [--seconds T]
-//!                  [--connections C] [--ladder [--probe-seconds P]]
-//!                  --answers FILE
+//! perfbench load   --addr HOST:PORT --seed N --slots-per-hour S --seconds T
+//!                  [--ladder] --answers FILE
 //! perfbench verify (--data CONTAINER | --builtin) --seed N --answers FILE
 //! perfbench trace  --seed N [--container C --scenario F [--resolution MIN]]
 //!                  --spans FILE
@@ -26,7 +25,10 @@ use decarb_json::Value;
 use decarb_sim::Snapshot;
 use decarb_traces::{builtin_dataset, container, TraceSet};
 
-use load::{ladder, run_closed, run_window, window_seconds, AnswerBook, Window};
+use load::{
+    ladder, run_closed, run_window, window_seconds, AnswerBook, Window, PROBE_SECONDS,
+    WARMUP_SECONDS,
+};
 use mix::Rng;
 
 /// Every per-layer metric the replay reports, with its unit; layers a
@@ -126,12 +128,9 @@ impl Args {
             .ok_or_else(|| format!("missing --{key}"))
     }
 
-    fn num<T: std::str::FromStr>(&self, key: &str, default: Option<T>) -> Result<T, String> {
-        match (self.0.get(key), default) {
-            (Some(raw), _) => raw.parse().map_err(|_| format!("bad --{key} `{raw}`")),
-            (None, Some(d)) => Ok(d),
-            (None, None) => Err(format!("missing --{key}")),
-        }
+    fn num<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
+        let raw = self.get(key)?;
+        raw.parse().map_err(|_| format!("bad --{key} `{raw}`"))
     }
 
     fn flag(&self, key: &str) -> bool {
@@ -167,30 +166,29 @@ fn window_json(w: &Window, conns: usize) -> Value {
     ])
 }
 
-/// Placement load: a closed-loop warm-up, the closed-loop measurement,
-/// and with `--ladder` the open-loop rungs: the lowest one, then a
-/// bisection over the ladder for the highest rung that holds.
+/// Placement load over one keep-alive connection per CPU: a closed-loop
+/// warm-up, the closed-loop measurement, and with `--ladder` the
+/// open-loop rungs: the lowest one, then a bisection over the ladder for
+/// the highest rung that holds.
 fn cmd_load(args: &Args) -> Result<Value, String> {
     let addr: SocketAddr = args
         .get("addr")?
         .parse()
         .map_err(|_| "bad --addr".to_string())?;
-    let seed: u64 = args.num("seed", None)?;
-    let sph: usize = args.num("slots-per-hour", Some(1))?;
-    let seconds: f64 = args.num("seconds", Some(2.0))?;
-    let probe_s: f64 = args.num("probe-seconds", Some(0.4))?;
-    let conns: usize = args.num(
-        "connections",
-        Some(std::thread::available_parallelism().map_or(1, |n| n.get())),
-    )?;
+    let seed: u64 = args.num("seed")?;
+    let sph: usize = args.num("slots-per-hour")?;
+    let seconds: f64 = args.num("seconds")?;
+    let conns = std::thread::available_parallelism().map_or(1, |n| n.get());
     let jobs = mix::generate(seed, sph);
     let requests: Vec<Vec<u8>> = jobs.iter().map(mix::Job::http).collect();
     let mut book = AnswerBook::new(requests.len());
     let mut rng = Rng::new(seed, 0x4C4F_4144);
     let io = |e: std::io::Error| format!("load against {addr}: {e}");
 
-    // Warm-up: first touches of the daemon's caches and sockets.
-    run_closed(addr, &requests, 0.3, conns, &mut rng, &mut book).map_err(io)?;
+    // Warm-up: first touches of the daemon's caches and sockets. Its
+    // requests are reported, so its failures count too.
+    let warmup =
+        run_closed(addr, &requests, WARMUP_SECONDS, conns, &mut rng, &mut book).map_err(io)?;
     let closed = run_closed(addr, &requests, seconds, conns, &mut rng, &mut book).map_err(io)?;
 
     let mut rungs = Vec::new();
@@ -202,7 +200,7 @@ fn cmd_load(args: &Args) -> Result<Value, String> {
                 addr,
                 &requests,
                 rate,
-                window_seconds(rate, probe_s, conns),
+                window_seconds(rate, PROBE_SECONDS, conns),
                 conns,
                 rng,
                 book,
@@ -250,6 +248,7 @@ fn cmd_load(args: &Args) -> Result<Value, String> {
 
     Ok(Value::object([
         ("connections", num(conns as f64)),
+        ("warmup", window_json(&warmup, conns)),
         ("closed", window_json(&closed, conns)),
         ("rungs", Value::array(rungs)),
         ("sustained_rps", num(sustained)),
@@ -271,7 +270,7 @@ fn load_data(args: &Args) -> Result<Arc<TraceSet>, String> {
 /// in-process on the same request and dataset.
 fn cmd_verify(args: &Args) -> Result<Value, String> {
     let data = load_data(args)?;
-    let seed: u64 = args.num("seed", None)?;
+    let seed: u64 = args.num("seed")?;
     let jobs = mix::generate(seed, data.resolution().slots_per_hour());
     let snap = Snapshot::build(Arc::clone(&data), 1);
     let text = std::fs::read_to_string(args.get("answers")?).map_err(|e| e.to_string())?;
@@ -319,7 +318,7 @@ fn cmd_trace(args: &Args) -> Result<Value, String> {
         }),
     };
     let outcome = replay::run(&replay::Plan {
-        seed: args.num("seed", None)?,
+        seed: args.num("seed")?,
         sweep,
     })?;
     let mut spans = String::new();
@@ -347,7 +346,6 @@ fn cmd_trace(args: &Args) -> Result<Value, String> {
         ("metrics", Value::object(metrics)),
         ("command_s", num(outcome.command_s)),
         ("command_named_s", num(outcome.command_named_s)),
-        ("coverage", num(outcome.coverage)),
         ("spans", num(outcome.trace.spans().len() as f64)),
     ]))
 }

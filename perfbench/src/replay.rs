@@ -6,11 +6,13 @@
 //!
 //! * `setup` — what the workload's set-up command does (`data pack`);
 //! * `command` and `serve.start` — what the measured command and the
-//!   placement daemon's start-up do; these roots are the traced wall
-//!   time that the named layer spans must cover;
-//! * `probe.*` — extra single-call timings (single-threaded sweeps,
-//!   planner builds, the per-request placement path) that the commands
-//!   themselves run in parallel or fused, kept out of the coverage.
+//!   placement daemon's start-up do, and nothing more. The named spans
+//!   of `command` are what the coverage check compares with the wall
+//!   time of the real command run cold;
+//! * `probe.*` — extra timings of work the commands run in parallel or
+//!   fused (single-threaded sweeps, materialization apart from
+//!   simulation, planner builds, the per-request placement path), kept
+//!   outside `command`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -71,9 +73,6 @@ pub struct Outcome {
     pub command_s: f64,
     /// Part of the `command` root its named spans cover, seconds.
     pub command_named_s: f64,
-    /// Share of the `command` and `serve.start` roots covered by named
-    /// layer spans.
-    pub coverage: f64,
 }
 
 fn us(d: std::time::Duration) -> f64 {
@@ -101,25 +100,9 @@ pub fn run(plan: &Plan) -> Result<Outcome, String> {
     };
     planner_builds(&mut t, &mut m, &data, &deployed);
     serve(&mut t, &mut m, data, plan.seed)?;
-
-    let roots: Vec<usize> = t
-        .spans()
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.parent.is_none() && (s.name == "command" || s.name == "serve.start"))
-        .map(|(i, _)| i)
-        .collect();
-    let total: u64 = roots.iter().map(|&r| t.spans()[r].duration_ns()).sum();
-    let covered: u64 = roots.iter().map(|&r| t.covered_ns(r)).sum();
-    let coverage = if total == 0 {
-        0.0
-    } else {
-        covered as f64 / total as f64
-    };
     Ok(Outcome {
         command_s: t.seconds(command),
         command_named_s: t.covered_ns(command) as f64 / 1e9,
-        coverage,
         metrics: m,
         trace: t,
     })
@@ -238,17 +221,9 @@ fn setup_pack(t: &mut Trace, m: &mut Vec<Metric>, minutes: Option<u32>) -> Resul
     Ok(())
 }
 
-/// Per-scenario timings from the parallel execute stage.
-struct Ran {
-    policy: PolicyKind,
-    jobs: usize,
-    start: Instant,
-    materialized: Instant,
-    end: Instant,
-}
-
 /// `decarb-cli --data C scenario run --file F --json`: decode, parse,
 /// check, plan, execute in chunks over one planner cache, serialize.
+/// Then, outside the command, each scenario's materialization alone.
 fn sweep(
     t: &mut Trace,
     m: &mut Vec<Metric>,
@@ -296,78 +271,72 @@ fn sweep(
     }
     let cache = PlannerCache::new();
     let chunk = (thread_count() * 2).max(1);
-    let resolution = data.resolution();
-    let sph = resolution.slots_per_hour();
-    let mut ran: Vec<Ran> = Vec::with_capacity(plan.len());
+    // (policy, `run_cached` seconds) per scenario, in plan order.
+    let mut runs: Vec<(PolicyKind, f64)> = Vec::with_capacity(plan.len());
     let mut execute_s = 0.0;
     let mut jsons = 0usize;
     for batch in plan.entries().chunks(chunk) {
         let span = t.open("sim.execute", Some(root));
         let results = par_map(batch, |entry| {
-            let scenario = &entry.scenario;
             let start = Instant::now();
-            let regions = scenario
-                .regions
-                .try_resolve(&data)
-                .expect("planned scenarios resolve");
-            let jobs = scenario.workload.materialize_at(
-                &regions,
-                Hour(scenario.start.0 * sph as u32),
-                resolution,
-            );
-            let materialized = Instant::now();
-            let report = scenario.run_cached(&data, &cache);
-            let end = Instant::now();
-            (
-                Ran {
-                    policy: scenario.policy,
-                    jobs: jobs.len(),
-                    start,
-                    materialized,
-                    end,
-                },
-                report,
-            )
+            let report = entry.scenario.run_cached(&data, &cache);
+            (start, Instant::now(), report)
         });
         t.close(span);
         execute_s += t.seconds(span);
-        for (r, report) in results {
-            t.record(
-                "workloads.materialize",
-                Some(span),
-                r.start,
-                r.materialized,
-                None,
-            );
-            t.record("sim.run_cached", Some(span), r.materialized, r.end, None);
+        for (entry, (start, end, report)) in batch.iter().zip(results) {
+            t.record("sim.run_cached", Some(span), start, end, None);
+            runs.push((entry.scenario.policy, (end - start).as_secs_f64()));
             let json = t.time("json.report_serialize", Some(root), || {
                 report.to_json().pretty()
             });
             jsons += json.len();
-            ran.push(r);
         }
     }
     std::hint::black_box(jsons);
     t.close(root);
 
-    let materialize_s: f64 = ran
-        .iter()
-        .map(|r| (r.materialized - r.start).as_secs_f64())
-        .sum();
+    // `run_cached` materializes its scenario's jobs inside; time that
+    // part again alone, fanned out the same way.
+    let probe = t.open("probe.materialize", None);
+    let resolution = data.resolution();
+    let sph = resolution.slots_per_hour();
+    // (jobs, `materialize_at` seconds) per scenario, in plan order.
+    let mut made: Vec<(usize, f64)> = Vec::with_capacity(plan.len());
+    for batch in plan.entries().chunks(chunk) {
+        let timed = par_map(batch, |entry| {
+            let scenario = &entry.scenario;
+            let regions = scenario
+                .regions
+                .try_resolve(&data)
+                .expect("planned scenarios resolve");
+            let start = Instant::now();
+            let jobs = scenario.workload.materialize_at(
+                &regions,
+                Hour(scenario.start.0 * sph as u32),
+                resolution,
+            );
+            (start, Instant::now(), jobs.len())
+        });
+        for (start, end, jobs) in timed {
+            t.record("workloads.materialize", Some(probe), start, end, None);
+            made.push((jobs, (end - start).as_secs_f64()));
+        }
+    }
+    t.close(probe);
+
+    let materialize_s: f64 = made.iter().map(|&(_, s)| s).sum();
     let run_s = |policy: PolicyKind| -> f64 {
-        ran.iter()
-            .filter(|r| r.policy == policy)
-            .map(|r| {
-                // `run_cached` materializes again inside; that part was
-                // timed separately just before.
-                (r.end - r.materialized).as_secs_f64() - (r.materialized - r.start).as_secs_f64()
-            })
+        runs.iter()
+            .zip(&made)
+            .filter(|((p, _), _)| *p == policy)
+            .map(|((_, run), (_, materialize))| run - materialize)
             .sum()
     };
     let per_policy: Vec<f64> = PolicyKind::ALL.iter().map(|&p| run_s(p)).collect();
     let sim_s: f64 = per_policy.iter().sum();
-    let jobs: usize = ran.iter().map(|r| r.jobs).sum();
-    let busy_s: f64 = ran.iter().map(|r| (r.end - r.start).as_secs_f64()).sum();
+    let jobs: usize = made.iter().map(|&(n, _)| n).sum();
+    let busy_s: f64 = runs.iter().map(|&(_, s)| s).sum();
     m.extend([
         ("traces.decode_s", t.total_s("traces.decode"), "s"),
         (
