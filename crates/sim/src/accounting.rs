@@ -104,6 +104,17 @@ impl SimReport {
         }
     }
 
+    /// Books `kwh` of transition overhead drawn at carbon intensity `ci`
+    /// into the overhead and total ledgers; returns its grams.
+    pub(crate) fn charge_overhead(&mut self, kwh: f64, ci: f64) -> f64 {
+        let g = kwh * ci;
+        self.overhead_kwh += kwh;
+        self.overhead_g += g;
+        self.total_energy_kwh += kwh;
+        self.total_emissions_g += g;
+        g
+    }
+
     /// Returns emissions of one completed job by id, if present.
     pub fn emissions_of(&self, job_id: u64) -> Option<f64> {
         self.completed

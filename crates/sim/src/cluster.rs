@@ -10,54 +10,38 @@ pub struct RunningJob {
     pub job: Job,
     /// Slots of work still to perform (hours on an hourly axis).
     pub remaining_slots: usize,
-    /// Emissions accumulated so far (g·CO2eq). The hourly engine
-    /// accrues here per slot; sub-hourly runs accumulate raw CI into
-    /// [`RunningJob::ci_sum`] instead and convert once at fold time.
-    pub emitted_g: f64,
-    /// Sum of the carbon-intensity samples over every executed slot
-    /// (sub-hourly accounting; see `RunningJob::fold_emissions`-style
-    /// conversion in the engine). Zero on the hourly path.
+    /// First slot past the job's window (arrival + slack + length):
+    /// finishing before it is on time.
+    pub deadline: Hour,
+    /// Sum of the carbon-intensity samples over every executed slot.
+    /// The engine converts it to emissions once, when the job completes
+    /// or the run ends.
     pub ci_sum: f64,
     /// Whether the job is currently suspended.
     pub suspended: bool,
     /// Hour of the job's first executed slot, once it has run.
     pub started: Option<Hour>,
-    /// Cached policy verdict for interruptible jobs: sub-hourly runs
-    /// consult `Policy::should_run` only at hour boundaries (the
-    /// policies' decision cadence) and replay this verdict on the
-    /// slots in between. Unused (always `true`) on the hourly path.
-    pub cached_decision: bool,
-    /// `true` until the policy has been consulted once: a job admitted
-    /// mid-hour gets its verdict at admission rather than waiting for
-    /// the next hour boundary.
-    pub decision_pending: bool,
+    /// Cached policy verdict for interruptible jobs: the engine
+    /// consults `Policy::should_run` only at hour boundaries (the
+    /// policies' decision cadence) and replays this verdict on the
+    /// slots in between. `None` until the policy has been consulted
+    /// once, so a job admitted mid-hour gets its verdict at admission.
+    pub verdict: Option<bool>,
 }
 
 impl RunningJob {
-    /// Creates a freshly admitted (not yet running) instance on the
-    /// hourly axis.
-    pub fn admitted(job: Job) -> Self {
-        let remaining = job.length_slots();
+    /// Creates a freshly admitted (not yet running) instance on a trace
+    /// axis sampled at `resolution`: the remaining work is the job's
+    /// length in *slots* of that axis.
+    pub fn admitted_at(job: Job, resolution: Resolution) -> Self {
         Self {
+            remaining_slots: job.length_slots_at(resolution),
+            deadline: job.arrival.plus(job.window_slots_at(resolution)),
             job,
-            remaining_slots: remaining,
-            emitted_g: 0.0,
             ci_sum: 0.0,
             suspended: true,
             started: None,
-            cached_decision: true,
-            decision_pending: true,
-        }
-    }
-
-    /// Creates a freshly admitted instance on a trace axis sampled at
-    /// `resolution`: the remaining work is the job's length in *slots*
-    /// of that axis.
-    pub fn admitted_at(job: Job, resolution: Resolution) -> Self {
-        let remaining = job.length_slots_at(resolution);
-        Self {
-            remaining_slots: remaining,
-            ..Self::admitted(job)
+            verdict: None,
         }
     }
 
@@ -180,27 +164,31 @@ mod tests {
         let se = data.id_of("SE").unwrap();
         let mut dc = Datacenter::new(se, 2);
         assert_eq!(dc.free_slots(), 2);
-        let mut active = RunningJob::admitted(Job::batch(1, se, Hour(0), 4.0, Slack::None));
+        let admit = |id| {
+            RunningJob::admitted_at(
+                Job::batch(id, se, Hour(0), 4.0, Slack::None),
+                Resolution::HOURLY,
+            )
+        };
+        let mut active = admit(1);
         active.suspended = false;
         dc.jobs.push(active);
-        dc.jobs.push(RunningJob::admitted(Job::batch(
-            2,
-            se,
-            Hour(0),
-            4.0,
-            Slack::None,
-        )));
+        dc.jobs.push(admit(2));
         assert_eq!(dc.running(), 1);
         assert_eq!(dc.free_slots(), 1);
     }
 
     #[test]
     fn admitted_jobs_have_not_run() {
-        let rj = RunningJob::admitted(Job::batch(1, RegionId(0), Hour(0), 3.0, Slack::None));
+        let job = Job::batch(1, RegionId(0), Hour(0), 3.0, Slack::None);
+        let rj = RunningJob::admitted_at(job.clone(), Resolution::HOURLY);
         assert!(rj.suspended);
         assert!(!rj.has_run());
         assert_eq!(rj.remaining_slots, 3);
-        assert_eq!(rj.emitted_g, 0.0);
+        assert_eq!(rj.deadline, Hour(3), "zero slack: the window is the run");
+        assert_eq!(rj.ci_sum, 0.0);
+        let fine = RunningJob::admitted_at(job, Resolution::from_minutes(5).unwrap());
+        assert_eq!((fine.remaining_slots, fine.deadline), (36, Hour(36)));
     }
 
     #[test]

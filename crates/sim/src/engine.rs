@@ -1,21 +1,20 @@
 //! The discrete-event simulation engine.
 //!
-//! On hourly datasets, time advances in one-hour steps (the legacy
-//! path, bit-for-bit stable). Each step processes, in order: arrivals →
+//! One step loop serves every dataset. Time advances on the slot axis
+//! of [`TraceSet::resolution`] (hours on hourly data, 5-minute slots on
+//! a 5-minute dataset). Each step processes, in order: arrivals →
 //! planned starts → run-set selection (capacity and suspend decisions)
 //! → execution and accounting. Planned starts live in an event calendar
-//! keyed by hour, so deferring policies cost nothing until their chosen
+//! keyed by slot, so deferring policies cost nothing until their chosen
 //! start arrives.
 //!
-//! On sub-hourly datasets the axis is *slots* ([`TraceSet::resolution`])
-//! and the engine steps event-driven by default ([`Stepping::Auto`]):
-//! it jumps straight to the next structural boundary — arrival, planned
-//! start, completion, policy decision point (hour boundary), forced
-//! deadline flip, trace-coverage edge, or horizon end — and accrues the
-//! emissions of every skipped slot in one batched prefix-sum query per
-//! running job. Idle or steady spans therefore cost O(1) instead of
-//! O(slots-per-hour), which keeps a 5-minute year (105 k slots) within
-//! a small factor of the hourly run instead of 12×.
+//! By default ([`Stepping::EventDriven`]) a step jumps straight to the
+//! next structural boundary — arrival, planned start, completion,
+//! policy decision point (hour boundary), forced deadline flip,
+//! trace-coverage edge, or horizon end — and accrues the emissions of
+//! every skipped slot at once. Idle or steady spans therefore cost one
+//! step instead of one per slot, which keeps a 5-minute year (105 k
+//! slots) within a small factor of the hourly run instead of 12×.
 //!
 //! All region handling is by interned [`RegionId`]: datacenters live in
 //! a dense slice (ordered lexicographically by zone code so accounting
@@ -26,7 +25,7 @@
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
-use decarb_traces::{ChunkedPrefix, Hour, RegionId, Resolution, TimeSeries, TraceSet};
+use decarb_traces::{Hour, RegionId, TimeSeries, TraceSet};
 use decarb_workloads::Job;
 
 use crate::accounting::{CompletedJob, SimReport};
@@ -34,25 +33,22 @@ use crate::cluster::{slot_in, CloudView, Datacenter, RunningJob};
 use crate::overheads::OverheadModel;
 use crate::policy::Policy;
 
-/// How the engine advances time on sub-hourly datasets.
+/// How the engine advances time.
 ///
-/// Hourly datasets always use the legacy hour-stepped loop — its float
-/// accumulation order is part of the golden-report contract — so this
-/// knob only affects runs whose [`TraceSet::resolution`] is finer than
-/// one hour.
+/// Both modes make the same decisions. Integer report fields (counts,
+/// placements, start and finish slots) agree exactly; emissions and
+/// energy agree up to float re-association of the per-span CI sums,
+/// and exactly on integer-valued traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Stepping {
-    /// Event-driven on sub-hourly axes, hour-stepped on hourly ones.
+    /// Jump between structural events, accruing each skipped span with
+    /// one CI sum per datacenter.
     #[default]
-    Auto,
-    /// Step every slot, even at 5-minute resolution. The reference
-    /// semantics the event-driven mode is tested against, and the
-    /// baseline the `sim/subhourly_year` bench compares with.
-    SlotPerSlot,
-    /// Jump between structural events, accruing skipped spans through
-    /// prefix sums (same results as [`Stepping::SlotPerSlot`] on
-    /// integer-valued traces; within float tolerance otherwise).
     EventDriven,
+    /// Step every slot. The reference semantics the event-driven mode is
+    /// tested against, and the baseline the `sim/subhourly_year` bench
+    /// compares with.
+    SlotPerSlot,
 }
 
 /// Simulation parameters.
@@ -72,7 +68,7 @@ pub struct SimConfig {
     /// Energy overheads for suspend/resume/migration transitions
     /// (defaults to the paper's zero-overhead idealization).
     pub overheads: OverheadModel,
-    /// Time-advance strategy for sub-hourly datasets.
+    /// Time-advance strategy.
     pub stepping: Stepping,
 }
 
@@ -84,7 +80,7 @@ impl SimConfig {
             horizon,
             capacity_per_region,
             overheads: OverheadModel::ZERO,
-            stepping: Stepping::Auto,
+            stepping: Stepping::EventDriven,
         }
     }
 
@@ -179,29 +175,40 @@ impl<'a> Simulator<'a> {
     /// the horizon end (they are never admitted). Jobs arriving before
     /// the simulated window are treated as arriving at its first hour.
     ///
-    /// Hourly datasets take the legacy hour-stepped loop; sub-hourly
-    /// datasets step on the slot axis, either slot-per-slot or
-    /// event-driven depending on [`SimConfig::stepping`].
+    /// The loop runs on the dataset's slot axis, whatever its
+    /// resolution:
+    ///
+    /// * **Slot domain** — `config.start`/`horizon`, arrivals, planned
+    ///   starts, and deadlines are slot indices; wall-clock job shapes
+    ///   convert once via `Job::{length,slack,window}_slots_at`.
+    /// * **Hourly decision cadence** — `Policy::should_run` is consulted
+    ///   at hour boundaries (and once at admission), its verdict cached
+    ///   on the [`RunningJob`] and replayed in between; an engine-side
+    ///   forced-deadline check still runs every slot so deadlines keep
+    ///   slot precision. On an hourly axis every slot is a boundary.
+    /// * **Span accounting** — each datacenter sums its span's CI samples
+    ///   once, and every job running there adds that sum to
+    ///   `RunningJob::ci_sum`; emissions and energy convert once per
+    ///   job as `(ci_sum · length_hours) / length_slots` and
+    ///   `(slots_run · length_hours) / length_slots`, multiply before
+    ///   divide. On integer-valued traces this is exact, which is what
+    ///   makes a 12×-repeated 5-minute trace reproduce the hourly run
+    ///   bit for bit.
+    /// * **Event-driven spans** — time jumps to the next structural
+    ///   boundary: arrival, planned start, completion, hour boundary
+    ///   (only while interruptible jobs are admitted), forced-deadline
+    ///   flip of a suspended job, trace-coverage edge, or horizon end.
+    ///   Run sets are provably stable between those boundaries, so the
+    ///   skipped slots differ only by accrual. [`Stepping::SlotPerSlot`]
+    ///   caps every span at one slot.
     // decarb-analyze: hot-path
     pub fn run<P: Policy + ?Sized>(&mut self, policy: &mut P, jobs: &[Job]) -> SimReport {
         let resolution = self.traces.resolution();
-        if resolution.is_hourly() {
-            return self.run_hourly(policy, jobs);
-        }
-        match self.config.stepping {
-            Stepping::SlotPerSlot => self.run_subhourly(policy, jobs, resolution, 1),
-            Stepping::Auto | Stepping::EventDriven => {
-                self.run_subhourly(policy, jobs, resolution, usize::MAX)
-            }
-        }
-    }
-
-    /// The legacy hour-stepped loop. Accumulation order here is part of
-    /// the golden-report contract: hourly runs must stay bit-for-bit
-    /// stable across releases, so this path is kept byte-identical and
-    /// all sub-hourly arithmetic lives in [`Simulator::run_subhourly`].
-    fn run_hourly<P: Policy + ?Sized>(&mut self, policy: &mut P, jobs: &[Job]) -> SimReport {
-        let mut report = SimReport::default();
+        let slot_per_slot = self.config.stepping == Stepping::SlotPerSlot;
+        let mut report = SimReport {
+            resolution,
+            ..SimReport::default()
+        };
         // Sorted descending so each arrival is *moved* off the tail in
         // arrival order — no per-job clone on the placement hot path.
         let mut arrivals: Vec<Job> = jobs.to_vec();
@@ -209,41 +216,38 @@ impl<'a> Simulator<'a> {
         let end = self.config.start.plus(self.config.horizon);
         let mut never_admitted = 0usize;
         let dc_count = self.datacenters.len();
+        let sph = resolution.slots_per_hour() as u32;
 
         // Hoisted trace lookups: one series resolution per datacenter
-        // for the whole run, refreshed into a per-hour CI buffer shared
-        // by the run-set selection and execution phases. Per-region
-        // emissions accumulate into a dense per-datacenter buffer and
-        // fold into the report's map once at the end; only migration
-        // overheads (charged at arbitrary origin regions) touch the map
-        // mid-run.
+        // for the whole run. Per-region emissions accumulate into a
+        // dense per-datacenter buffer and fold into the report's map
+        // once at the end; only migration overheads (charged at
+        // arbitrary origin regions) touch the map mid-run.
         let dc_series: Vec<Option<&TimeSeries>> = self
             .datacenters
             .iter()
             .map(|dc| self.traces.try_series_by_id(dc.region))
             .collect();
-        let mut ci_now: Vec<Option<f64>> = vec![None; dc_count];
+        // Every datacenter's trace-coverage edges, ascending, with a
+        // cursor past those at or before `now`: spans never cross one.
+        let mut coverage_edges: Vec<u32> = dc_series
+            .iter()
+            .flatten()
+            .flat_map(|s| [s.start().0, s.end().0])
+            .collect();
+        coverage_edges.sort_unstable();
+        let mut edge = 0;
         let mut dc_emissions: Vec<f64> = vec![0.0; dc_count];
-        let mut decisions: Vec<bool> = Vec::with_capacity(self.config.capacity_per_region * 2);
+        let mut verdicts: Vec<bool> = Vec::with_capacity(self.config.capacity_per_region * 2);
         let mut finished: Vec<usize> = Vec::with_capacity(self.config.capacity_per_region * 2);
 
-        for step in 0..self.config.horizon {
-            let now = self.config.start.plus(step);
-            for (slot, series) in ci_now.iter_mut().zip(&dc_series) {
-                *slot = series.and_then(|s| s.at(now));
-            }
+        let mut now = self.config.start;
+        while now < end {
+            let hour_boundary = now.0.is_multiple_of(sph);
 
-            // 1. Place arrivals for this hour.
+            // 1. Place arrivals due now.
             while let Some(job) = arrivals.pop_if(|j| j.arrival <= now) {
-                let placement = {
-                    let view = CloudView {
-                        datacenters: &self.datacenters,
-                        slot_of: &self.slot_of,
-                        traces: self.traces,
-                        now,
-                    };
-                    policy.place(&job, &view)
-                };
+                let placement = policy.place(&job, &self.view(now));
                 let region = if slot_in(&self.slot_of, placement.region).is_some() {
                     placement.region
                 } else {
@@ -278,21 +282,12 @@ impl<'a> Simulator<'a> {
                     report.migrations += 1;
                     let kwh = self.config.overheads.migration_kwh();
                     if kwh > 0.0 {
-                        let ci = self
-                            .traces
-                            .try_series_by_id(planned.job.origin)
-                            .and_then(|s| s.at(now))
-                            .or_else(|| {
-                                self.traces
-                                    .try_series_by_id(planned.region)
-                                    .and_then(|s| s.at(now))
-                            })
+                        let ci_at = |id| self.traces.try_series_by_id(id).and_then(|s| s.at(now));
+                        let ci = ci_at(planned.job.origin)
+                            .or_else(|| ci_at(planned.region))
                             .unwrap_or(0.0);
-                        report.overhead_kwh += kwh;
-                        report.overhead_g += kwh * ci;
-                        report.total_energy_kwh += kwh;
-                        report.total_emissions_g += kwh * ci;
-                        *report.per_region_g.entry(planned.job.origin).or_insert(0.0) += kwh * ci;
+                        let g = report.charge_overhead(kwh, ci);
+                        *report.per_region_g.entry(planned.job.origin).or_insert(0.0) += g;
                     }
                 }
                 // Placement is validated at arrival time, so a missing
@@ -304,36 +299,42 @@ impl<'a> Simulator<'a> {
                 };
                 self.datacenters[slot]
                     .jobs
-                    .push(RunningJob::admitted(planned.job));
+                    .push(RunningJob::admitted_at(planned.job, resolution));
             }
 
-            // 3. Select the run set for each datacenter.
+            // 3. Select the run set. Interruptible verdicts refresh at
+            // hour boundaries (and at admission), replay otherwise; the
+            // forced-deadline check keeps slot precision either way.
+            let mut any_interruptible = false;
             for k in 0..dc_count {
-                decisions.clear();
+                verdicts.clear();
                 {
                     let dc = &self.datacenters[k];
-                    let view = CloudView {
-                        datacenters: &self.datacenters,
-                        slot_of: &self.slot_of,
-                        traces: self.traces,
-                        now,
-                    };
-                    decisions.extend(dc.jobs.iter().map(|rj| {
+                    let view = self.view(now);
+                    verdicts.extend(dc.jobs.iter().map(|rj| {
                         if !rj.job.interruptible {
                             return true;
                         }
-                        let deadline = rj.job.arrival.plus(rj.job.window_hours());
-                        policy.should_run(&rj.job, rj.remaining_slots, deadline, &view)
+                        match rj.verdict {
+                            Some(cached) if !hour_boundary => cached,
+                            _ => policy.should_run(&rj.job, rj.remaining_slots, rj.deadline, &view),
+                        }
                     }));
                 }
-                let ci_here = ci_now[k].unwrap_or(0.0);
                 let dc = &mut self.datacenters[k];
                 let mut running = 0usize;
                 let mut suspends = 0usize;
                 let mut resumes = 0usize;
-                for (rj, want_run) in dc.jobs.iter_mut().zip(&decisions) {
+                for (rj, &verdict) in dc.jobs.iter_mut().zip(&verdicts) {
+                    let want_run = if rj.job.interruptible {
+                        any_interruptible = true;
+                        rj.verdict = Some(verdict);
+                        verdict || now.plus(rj.remaining_slots) >= rj.deadline
+                    } else {
+                        true
+                    };
                     let was_suspended = rj.suspended;
-                    if *want_run && running < dc.capacity {
+                    if want_run && running < dc.capacity {
                         if was_suspended && rj.has_run() {
                             resumes += 1;
                         }
@@ -349,29 +350,75 @@ impl<'a> Simulator<'a> {
                 report.suspends += suspends;
                 report.resumes += resumes;
                 // Checkpoint/restore energy is drawn in this region at
-                // this hour.
+                // this slot.
                 let kwh = suspends as f64 * self.config.overheads.suspend_kwh
                     + resumes as f64 * self.config.overheads.resume_kwh;
                 if kwh > 0.0 {
-                    report.overhead_kwh += kwh;
-                    report.overhead_g += kwh * ci_here;
-                    report.total_energy_kwh += kwh;
-                    report.total_emissions_g += kwh * ci_here;
-                    dc_emissions[k] += kwh * ci_here;
+                    let ci = dc_series[k].and_then(|s| s.at(now)).unwrap_or(0.0);
+                    dc_emissions[k] += report.charge_overhead(kwh, ci);
                 }
             }
 
-            // 4. Execute and account.
+            // 4. Find the next structural boundary. The horizon end caps
+            // every span and, while interruptible jobs are admitted, so
+            // does the next hour boundary: verdicts refresh each hour.
+            // The O(1) candidates come first; once the span is down to
+            // one slot (every step of an hourly run with interruptible
+            // jobs, or with arrivals every hour) the O(jobs) scan is
+            // skipped. Every candidate is strictly past `now`, so spans
+            // always advance.
+            let mut next = if slot_per_slot {
+                now.0 + 1
+            } else if any_interruptible {
+                end.0.min(now.0 - now.0 % sph + sph)
+            } else {
+                end.0
+            };
+            if let Some(job) = arrivals.last() {
+                next = next.min(job.arrival.0);
+            }
+            if let Some(top) = self.calendar.peek() {
+                next = next.min(top.start.0);
+            }
+            while coverage_edges.get(edge).is_some_and(|&e| e <= now.0) {
+                edge += 1;
+            }
+            if let Some(&e) = coverage_edges.get(edge) {
+                next = next.min(e);
+            }
+            if next > now.0 + 1 {
+                for rj in self.datacenters.iter().flat_map(|dc| &dc.jobs) {
+                    if !rj.suspended {
+                        next = next.min(now.0 + rj.remaining_slots as u32);
+                    } else if rj.job.interruptible && rj.verdict == Some(false) {
+                        // A suspended job's forced-deadline flip is
+                        // predictable: remaining stays constant, so it
+                        // fires at deadline − remaining.
+                        let flip = rj.deadline.0.saturating_sub(rj.remaining_slots as u32);
+                        if flip > now.0 {
+                            next = next.min(flip);
+                        }
+                    }
+                }
+            }
+            let span = (next.max(now.0 + 1) - now.0) as usize;
+
+            // 5. Execute the span and account completions. Spans never
+            // cross a trace-coverage edge, so a span is either covered
+            // whole or a stall.
             for k in 0..dc_count {
                 let dc = &mut self.datacenters[k];
-                let Some(ci) = ci_now[k] else {
-                    // Trace coverage does not reach this hour: jobs
+                let Some(window) = dc_series[k].and_then(|s| s.window(now, span).ok()) else {
+                    // Trace coverage does not reach this span: jobs
                     // selected to run can neither execute nor be
                     // accounted. Record the stall instead of silently
                     // freezing them.
-                    report.stalled_hours += dc.jobs.iter().filter(|rj| !rj.suspended).count();
+                    report.stalled_hours +=
+                        span * dc.jobs.iter().filter(|rj| !rj.suspended).count();
                     continue;
                 };
+                // Summed once, on the first running job.
+                let mut span_ci = None;
                 finished.clear();
                 for (i, rj) in dc.jobs.iter_mut().enumerate() {
                     if rj.suspended {
@@ -380,33 +427,51 @@ impl<'a> Simulator<'a> {
                     if rj.started.is_none() {
                         rj.started = Some(now);
                     }
-                    // Fractional jobs draw proportionally less energy in
-                    // their single slot.
-                    let energy = rj.job.length_hours / rj.job.length_slots() as f64;
-                    rj.emitted_g += ci * energy;
-                    report.total_energy_kwh += energy;
-                    report.total_emissions_g += ci * energy;
-                    dc_emissions[k] += ci * energy;
-                    rj.remaining_slots -= 1;
+                    rj.ci_sum += *span_ci.get_or_insert_with(|| window.iter().sum::<f64>());
+                    rj.remaining_slots -= span;
                     if rj.remaining_slots == 0 {
                         finished.push(i);
                     }
                 }
                 for &i in finished.iter().rev() {
                     let rj = dc.jobs.swap_remove(i);
-                    let deadline = rj.job.arrival.plus(rj.job.window_hours());
+                    let slots = rj.job.length_slots_at(resolution) as f64;
+                    let emitted = (rj.ci_sum * rj.job.length_hours) / slots;
+                    let energy = rj.job.length_hours;
+                    report.total_energy_kwh += energy;
+                    report.total_emissions_g += emitted;
+                    dc_emissions[k] += emitted;
+                    let finished_at = now.plus(span - 1);
                     report.completed.push(CompletedJob {
                         region: dc.region,
                         started: rj.started.unwrap_or(now),
-                        finished: now,
-                        emitted_g: rj.emitted_g,
-                        // The window covers hours [arrival, deadline);
-                        // finishing in the last window hour (deadline-1)
-                        // is on time, and zero-slack jobs delayed past
-                        // their own length (e.g. by queueing) miss too.
-                        missed_deadline: now >= deadline,
+                        finished: finished_at,
+                        emitted_g: emitted,
+                        // The window covers slots [arrival, deadline);
+                        // finishing in the last window slot is on time,
+                        // and zero-slack jobs delayed past their own
+                        // length (e.g. by queueing) miss too.
+                        missed_deadline: finished_at >= rj.deadline,
                         job: rj.job,
                     });
+                }
+            }
+
+            now = now.plus(span);
+        }
+
+        // Partial work of unfinished jobs is still accounted, pro rata
+        // over the slots actually executed.
+        for (k, dc) in self.datacenters.iter().enumerate() {
+            for rj in &dc.jobs {
+                let slots = rj.job.length_slots_at(resolution);
+                let run = slots - rj.remaining_slots;
+                if run > 0 {
+                    let energy = (run as f64 * rj.job.length_hours) / slots as f64;
+                    let emitted = (rj.ci_sum * rj.job.length_hours) / slots as f64;
+                    report.total_energy_kwh += energy;
+                    report.total_emissions_g += emitted;
+                    dc_emissions[k] += emitted;
                 }
             }
         }
@@ -435,347 +500,14 @@ impl<'a> Simulator<'a> {
         report
     }
 
-    /// The sub-hourly slot-axis loop, shared by [`Stepping::SlotPerSlot`]
-    /// (`max_span = 1`) and [`Stepping::EventDriven`] (unbounded spans).
-    ///
-    /// Differences from the hourly path, all activated only here so the
-    /// golden hourly reports stay byte-stable:
-    ///
-    /// * **Slot domain** — `config.start`/`horizon`, arrivals, planned
-    ///   starts, and deadlines are slot indices; wall-clock job shapes
-    ///   convert once via `Job::{length,slack,window}_slots_at`.
-    /// * **Hourly decision cadence** — `Policy::should_run` is consulted
-    ///   at hour boundaries (and once at admission), its verdict cached
-    ///   on the [`RunningJob`] and replayed in between; an engine-side
-    ///   forced-deadline check still runs every slot so deadlines keep
-    ///   slot precision.
-    /// * **Exact span accounting** — executed slots accumulate raw CI
-    ///   into `RunningJob::ci_sum` (per slot, or per span through a
-    ///   [`ChunkedPrefix`] query); emissions and energy convert once per
-    ///   job as `(ci_sum · length_hours) / length_slots` and
-    ///   `(slots_run · length_hours) / length_slots`, multiply before
-    ///   divide. On integer-valued traces this is exact, which is what
-    ///   makes a 12×-repeated 5-minute trace reproduce the hourly run
-    ///   bit for bit.
-    /// * **Event-driven spans** — time jumps to the next structural
-    ///   boundary: arrival, planned start, completion, hour boundary
-    ///   (only while interruptible jobs are admitted), forced-deadline
-    ///   flip of a suspended job, trace-coverage edge, or horizon end.
-    ///   Run sets are provably stable between those boundaries, so the
-    ///   skipped slots differ only by accrual, done in O(1) per job.
-    // decarb-analyze: hot-path
-    fn run_subhourly<P: Policy + ?Sized>(
-        &mut self,
-        policy: &mut P,
-        jobs: &[Job],
-        resolution: Resolution,
-        max_span: usize,
-    ) -> SimReport {
-        let mut report = SimReport {
-            resolution,
-            ..SimReport::default()
-        };
-        let mut arrivals: Vec<Job> = jobs.to_vec();
-        arrivals.sort_by_key(|j| std::cmp::Reverse((j.arrival, j.id)));
-        let end = self.config.start.plus(self.config.horizon);
-        let mut never_admitted = 0usize;
-        let dc_count = self.datacenters.len();
-        let sph = resolution.slots_per_hour() as u32;
-
-        let dc_series: Vec<Option<&TimeSeries>> = self
-            .datacenters
-            .iter()
-            .map(|dc| self.traces.try_series_by_id(dc.region))
-            .collect();
-        // One blocked prefix sum per covered datacenter: span accrual is
-        // two O(1) lookups however many slots the span covers. The
-        // structures live in the dataset's shared cache, so repeated
-        // runs (a scenario matrix, a bench loop) build each one once.
-        let dc_prefix: Vec<Option<&ChunkedPrefix>> = self
-            .datacenters
-            .iter()
-            .map(|dc| self.traces.try_chunked_prefix_by_id(dc.region))
-            .collect();
-        let mut dc_emissions: Vec<f64> = vec![0.0; dc_count];
-        let mut verdicts: Vec<bool> = Vec::with_capacity(self.config.capacity_per_region * 2);
-        let mut finished: Vec<usize> = Vec::with_capacity(self.config.capacity_per_region * 2);
-        let deadline_of = |job: &Job| -> Hour { job.arrival.plus(job.window_slots_at(resolution)) };
-
-        let mut now = self.config.start;
-        while now < end {
-            let hour_boundary = now.0.is_multiple_of(sph);
-
-            // 1. Place arrivals due now.
-            while let Some(job) = arrivals.pop_if(|j| j.arrival <= now) {
-                let placement = {
-                    let view = CloudView {
-                        datacenters: &self.datacenters,
-                        slot_of: &self.slot_of,
-                        traces: self.traces,
-                        now,
-                    };
-                    policy.place(&job, &view)
-                };
-                let region = if slot_in(&self.slot_of, placement.region).is_some() {
-                    placement.region
-                } else {
-                    job.origin
-                };
-                let start = placement.start.max(now);
-                if start >= end {
-                    never_admitted += 1;
-                    continue;
-                }
-                self.seq += 1;
-                self.calendar.push(PlannedStart {
-                    start,
-                    seq: self.seq,
-                    job,
-                    region,
-                });
-            }
-
-            // 2. Admit planned starts due now (migration overheads as on
-            // the hourly path, charged at the origin's CI this slot).
-            while let Some(top) = self.calendar.peek_mut() {
-                if top.start > now {
-                    break;
-                }
-                let planned = PeekMut::pop(top);
-                if planned.region != planned.job.origin {
-                    report.migrations += 1;
-                    let kwh = self.config.overheads.migration_kwh();
-                    if kwh > 0.0 {
-                        let ci = self
-                            .traces
-                            .try_series_by_id(planned.job.origin)
-                            .and_then(|s| s.at(now))
-                            .or_else(|| {
-                                self.traces
-                                    .try_series_by_id(planned.region)
-                                    .and_then(|s| s.at(now))
-                            })
-                            .unwrap_or(0.0);
-                        report.overhead_kwh += kwh;
-                        report.overhead_g += kwh * ci;
-                        report.total_energy_kwh += kwh;
-                        report.total_emissions_g += kwh * ci;
-                        *report.per_region_g.entry(planned.job.origin).or_insert(0.0) += kwh * ci;
-                    }
-                }
-                let Some(slot) = slot_in(&self.slot_of, planned.region) else {
-                    never_admitted += 1;
-                    continue;
-                };
-                self.datacenters[slot]
-                    .jobs
-                    .push(RunningJob::admitted_at(planned.job, resolution));
-            }
-
-            // 3. Select the run set. Interruptible verdicts refresh at
-            // hour boundaries (and at admission), replay otherwise; the
-            // forced-deadline check keeps slot precision either way.
-            for k in 0..dc_count {
-                verdicts.clear();
-                {
-                    let dc = &self.datacenters[k];
-                    let view = CloudView {
-                        datacenters: &self.datacenters,
-                        slot_of: &self.slot_of,
-                        traces: self.traces,
-                        now,
-                    };
-                    verdicts.extend(dc.jobs.iter().map(|rj| {
-                        if !rj.job.interruptible {
-                            return true;
-                        }
-                        if hour_boundary || rj.decision_pending {
-                            policy.should_run(
-                                &rj.job,
-                                rj.remaining_slots,
-                                deadline_of(&rj.job),
-                                &view,
-                            )
-                        } else {
-                            rj.cached_decision
-                        }
-                    }));
-                }
-                let ci_here = dc_series[k].and_then(|s| s.at(now)).unwrap_or(0.0);
-                let dc = &mut self.datacenters[k];
-                let mut running = 0usize;
-                let mut suspends = 0usize;
-                let mut resumes = 0usize;
-                for (rj, &verdict) in dc.jobs.iter_mut().zip(&verdicts) {
-                    let want_run = if rj.job.interruptible {
-                        rj.cached_decision = verdict;
-                        rj.decision_pending = false;
-                        verdict || now.plus(rj.remaining_slots) >= deadline_of(&rj.job)
-                    } else {
-                        true
-                    };
-                    let was_suspended = rj.suspended;
-                    if want_run && running < dc.capacity {
-                        if was_suspended && rj.has_run() {
-                            resumes += 1;
-                        }
-                        rj.suspended = false;
-                        running += 1;
-                    } else {
-                        if !was_suspended && rj.remaining_slots > 0 {
-                            suspends += 1;
-                        }
-                        rj.suspended = true;
-                    }
-                }
-                report.suspends += suspends;
-                report.resumes += resumes;
-                let kwh = suspends as f64 * self.config.overheads.suspend_kwh
-                    + resumes as f64 * self.config.overheads.resume_kwh;
-                if kwh > 0.0 {
-                    report.overhead_kwh += kwh;
-                    report.overhead_g += kwh * ci_here;
-                    report.total_energy_kwh += kwh;
-                    report.total_emissions_g += kwh * ci_here;
-                    dc_emissions[k] += kwh * ci_here;
-                }
-            }
-
-            // 4. Find the next structural boundary. Every candidate is
-            // strictly past `now`, so spans always advance.
-            let span = if max_span == 1 {
-                1
-            } else {
-                let mut next = end.0;
-                if let Some(job) = arrivals.last() {
-                    next = next.min(job.arrival.0.max(now.0 + 1));
-                }
-                if let Some(top) = self.calendar.peek() {
-                    next = next.min(top.start.0.max(now.0 + 1));
-                }
-                let mut any_interruptible = false;
-                for (k, dc) in self.datacenters.iter().enumerate() {
-                    for rj in &dc.jobs {
-                        if rj.job.interruptible {
-                            any_interruptible = true;
-                        }
-                        if !rj.suspended {
-                            next = next.min(now.0 + rj.remaining_slots as u32);
-                        } else if rj.job.interruptible && !rj.cached_decision {
-                            // A suspended job's forced-deadline flip is
-                            // predictable: remaining stays constant, so
-                            // it fires at deadline − remaining.
-                            let flip = deadline_of(&rj.job)
-                                .0
-                                .saturating_sub(rj.remaining_slots as u32);
-                            if flip > now.0 {
-                                next = next.min(flip);
-                            }
-                        }
-                    }
-                    if let Some(series) = dc_series[k] {
-                        let cover_start = series.start().0;
-                        let cover_end = cover_start + series.values().len() as u32;
-                        if cover_start > now.0 {
-                            next = next.min(cover_start);
-                        }
-                        if cover_end > now.0 {
-                            next = next.min(cover_end);
-                        }
-                    }
-                }
-                if any_interruptible {
-                    // Verdicts refresh each hour, so never skip past one.
-                    next = next.min(now.0 - now.0 % sph + sph);
-                }
-                (next.max(now.0 + 1) - now.0) as usize
-            };
-
-            // 5. Execute the span and account completions.
-            for k in 0..dc_count {
-                let dc = &mut self.datacenters[k];
-                let covered = dc_series[k].is_some_and(|s| s.at(now).is_some());
-                if !covered {
-                    report.stalled_hours +=
-                        span * dc.jobs.iter().filter(|rj| !rj.suspended).count();
-                    continue;
-                }
-                // `covered` implies the series — and therefore the
-                // prefix built from it — exists.
-                let Some(prefix) = dc_prefix[k].as_ref() else {
-                    continue;
-                };
-                finished.clear();
-                for (i, rj) in dc.jobs.iter_mut().enumerate() {
-                    if rj.suspended {
-                        continue;
-                    }
-                    if rj.started.is_none() {
-                        rj.started = Some(now);
-                    }
-                    rj.ci_sum += prefix.sum(now, span);
-                    rj.remaining_slots -= span;
-                    if rj.remaining_slots == 0 {
-                        finished.push(i);
-                    }
-                }
-                for &i in finished.iter().rev() {
-                    let rj = dc.jobs.swap_remove(i);
-                    let slots = rj.job.length_slots_at(resolution) as f64;
-                    let emitted = (rj.ci_sum * rj.job.length_hours) / slots;
-                    let energy = rj.job.length_hours;
-                    report.total_energy_kwh += energy;
-                    report.total_emissions_g += emitted;
-                    dc_emissions[k] += emitted;
-                    let finished_at = now.plus(span - 1);
-                    report.completed.push(CompletedJob {
-                        region: dc.region,
-                        started: rj.started.unwrap_or(now),
-                        finished: finished_at,
-                        emitted_g: emitted,
-                        missed_deadline: finished_at >= deadline_of(&rj.job),
-                        job: rj.job,
-                    });
-                }
-            }
-
-            now = now.plus(span);
+    /// The read-only view handed to policies at slot `now`.
+    fn view(&self, now: Hour) -> CloudView<'_> {
+        CloudView {
+            datacenters: &self.datacenters,
+            slot_of: &self.slot_of,
+            traces: self.traces,
+            now,
         }
-
-        // Partial work of unfinished jobs is still accounted, pro rata
-        // over the slots actually executed.
-        for (k, dc) in self.datacenters.iter().enumerate() {
-            for rj in &dc.jobs {
-                let slots = rj.job.length_slots_at(resolution);
-                let run = slots - rj.remaining_slots;
-                if run > 0 {
-                    let energy = (run as f64 * rj.job.length_hours) / slots as f64;
-                    let emitted = (rj.ci_sum * rj.job.length_hours) / slots as f64;
-                    report.total_energy_kwh += energy;
-                    report.total_emissions_g += emitted;
-                    dc_emissions[k] += emitted;
-                }
-            }
-        }
-
-        for (k, &g) in dc_emissions.iter().enumerate() {
-            if g != 0.0 {
-                *report
-                    .per_region_g
-                    .entry(self.datacenters[k].region)
-                    .or_insert(0.0) += g;
-            }
-        }
-
-        report.unfinished = self
-            .datacenters
-            .iter()
-            .map(|dc| dc.jobs.len())
-            .sum::<usize>()
-            + self.calendar.len()
-            + never_admitted
-            + arrivals.len();
-        report
     }
 
     /// Returns a datacenter by region id (for inspection in tests).
@@ -789,8 +521,8 @@ mod tests {
     use super::*;
     use crate::policy::{CarbonAgnostic, GreenestRouter, PlannedDeferral, ThresholdSuspend};
     use decarb_core::temporal::TemporalPlanner;
-    use decarb_traces::builtin_dataset;
     use decarb_traces::time::year_start;
+    use decarb_traces::{builtin_dataset, Resolution};
     use decarb_workloads::Slack;
 
     /// Named policy constructors for the axis-equivalence tests.
@@ -1217,81 +949,156 @@ mod tests {
         jobs
     }
 
-    /// Maps an hourly-domain job list onto a 12-slots-per-hour axis.
-    fn jobs_at_5min(jobs: &[Job]) -> Vec<Job> {
+    /// Maps an hourly-domain job list onto the slot axis of `traces`.
+    fn jobs_on_axis(jobs: &[Job], traces: &TraceSet) -> Vec<Job> {
+        let sph = traces.resolution().slots_per_hour() as u32;
         jobs.iter()
             .map(|job| {
-                let mut fine = job.clone();
-                fine.arrival = Hour(job.arrival.0 * 12);
-                fine
+                let mut moved = job.clone();
+                moved.arrival = Hour(job.arrival.0 * sph);
+                moved
             })
             .collect()
     }
 
-    fn run_fine<P: Policy + ?Sized>(
-        fine: &TraceSet,
+    /// Runs `horizon_hours` from the start of 2022 on the slot axis of
+    /// `traces`, with capacity 4.
+    fn run_on_axis<P: Policy + ?Sized>(
+        traces: &TraceSet,
         regions: &[RegionId],
         policy: &mut P,
         jobs: &[Job],
         horizon_hours: usize,
         stepping: Stepping,
     ) -> SimReport {
-        let start = Hour(year_start(2022).0 * 12);
-        let config = SimConfig::new(start, horizon_hours * 12, 4).with_stepping(stepping);
-        let mut sim = Simulator::new(fine, regions, config);
+        let sph = traces.resolution().slots_per_hour();
+        let start = Hour(year_start(2022).0 * sph as u32);
+        let config = SimConfig::new(start, horizon_hours * sph, 4).with_stepping(stepping);
+        let mut sim = Simulator::new(traces, regions, config);
         sim.run(policy, jobs)
     }
 
-    #[test]
-    fn event_driven_matches_slot_stepped_on_five_minute_axis() {
-        let hourly = integer_dataset(24 * 40);
-        let fine = hourly
-            .resample_to(Resolution::from_minutes(5).unwrap())
-            .unwrap();
-        let rs = ids(&fine, &["DE", "SE"]);
-        let jobs = jobs_at_5min(&equivalence_jobs(&fine));
-        let horizon = 24 * 20;
-        let policies: PolicyTable = vec![
+    /// The equivalence policies: rigid, deferring, suspending, routing.
+    fn equivalence_policies() -> PolicyTable {
+        vec![
             ("agnostic", || Box::new(CarbonAgnostic)),
             ("deferral", || Box::new(PlannedDeferral)),
             ("threshold", || Box::new(ThresholdSuspend::default())),
             ("router", || Box::new(GreenestRouter)),
-        ];
-        for (name, make) in policies {
-            let slot = run_fine(
-                &fine,
-                &rs,
-                make().as_mut(),
-                &jobs,
-                horizon,
-                Stepping::SlotPerSlot,
-            );
-            let event = run_fine(
-                &fine,
-                &rs,
-                make().as_mut(),
-                &jobs,
-                horizon,
-                Stepping::EventDriven,
-            );
-            assert_eq!(
-                slot.total_emissions_g, event.total_emissions_g,
-                "{name}: emissions must be bit-identical"
-            );
-            assert_eq!(slot.total_energy_kwh, event.total_energy_kwh, "{name}");
-            assert_eq!(slot.completed_count(), event.completed_count(), "{name}");
-            assert_eq!(slot.suspends, event.suspends, "{name}");
-            assert_eq!(slot.resumes, event.resumes, "{name}");
-            assert_eq!(slot.unfinished, event.unfinished, "{name}");
-            for (a, b) in slot.completed.iter().zip(&event.completed) {
-                assert_eq!(a.job.id, b.job.id, "{name}");
-                assert_eq!(a.region, b.region, "{name}: same placement");
-                assert_eq!(a.started, b.started, "{name}: same start slot");
-                assert_eq!(a.finished, b.finished, "{name}: same finish slot");
-                assert_eq!(a.emitted_g, b.emitted_g, "{name}: same emissions");
-                assert_eq!(a.missed_deadline, b.missed_deadline, "{name}");
-            }
+        ]
+    }
+
+    /// Event-driven and slot-per-slot stepping must agree bit for bit on
+    /// the integer dataset replicated at `minutes` resolution.
+    fn assert_stepping_bit_identical(minutes: u32) {
+        let traces = integer_dataset(24 * 40)
+            .resample_to(Resolution::from_minutes(minutes).unwrap())
+            .unwrap();
+        let rs = ids(&traces, &["DE", "SE"]);
+        let jobs = jobs_on_axis(&equivalence_jobs(&traces), &traces);
+        for (name, make) in equivalence_policies() {
+            let run =
+                |stepping| run_on_axis(&traces, &rs, make().as_mut(), &jobs, 24 * 20, stepping);
+            let slot = run(Stepping::SlotPerSlot);
+            assert_same_run(&slot, &run(Stepping::EventDriven), 0.0, name);
             assert!(slot.completed_count() >= 5, "{name}: workload must run");
+        }
+    }
+
+    /// Asserts two runs of one workload agree: integer fields exactly,
+    /// floats within `rel` relative error (0 demands bit identity).
+    fn assert_same_run(a: &SimReport, b: &SimReport, rel: f64, name: &str) {
+        let close = |x: f64, y: f64| (x - y).abs() <= rel * x.abs().max(y.abs());
+        let counts = |r: &SimReport| {
+            let c = r.completed_count();
+            (
+                c,
+                r.suspends,
+                r.resumes,
+                r.migrations,
+                r.unfinished,
+                r.stalled_hours,
+            )
+        };
+        assert_eq!(counts(a), counts(b), "{name}");
+        assert!(
+            close(a.total_emissions_g, b.total_emissions_g),
+            "{name}: {} vs {} g",
+            a.total_emissions_g,
+            b.total_emissions_g
+        );
+        assert!(close(a.total_energy_kwh, b.total_energy_kwh), "{name}");
+        assert!(close(a.overhead_g, b.overhead_g), "{name}");
+        assert!(close(a.overhead_kwh, b.overhead_kwh), "{name}");
+        assert_eq!(a.per_region_g.len(), b.per_region_g.len(), "{name}");
+        for (region, g) in &a.per_region_g {
+            let other = b.per_region_g.get(region).copied();
+            assert!(other.is_some_and(|h| close(*g, h)), "{name}: {region:?}");
+        }
+        for (x, y) in a.completed.iter().zip(&b.completed) {
+            let key =
+                |c: &CompletedJob| (c.job.id, c.region, c.started, c.finished, c.missed_deadline);
+            assert_eq!(key(x), key(y), "{name}: same placement and slots");
+            assert!(close(x.emitted_g, y.emitted_g), "{name}: job {}", x.job.id);
+        }
+    }
+
+    #[test]
+    fn event_driven_matches_slot_stepped_on_five_minute_axis() {
+        assert_stepping_bit_identical(5);
+    }
+
+    #[test]
+    fn event_driven_matches_slot_stepped_on_hourly_axis() {
+        assert_stepping_bit_identical(60);
+    }
+
+    #[test]
+    fn event_driven_matches_slot_stepped_on_real_valued_traces() {
+        // Real-valued builtin traces, capacity 1 (so jobs queue), every
+        // transition costed, and interruptible jobs that suspend and
+        // resume. Spans sum CI in a different order than single slots,
+        // so floats may differ by re-association only.
+        let traces = builtin_dataset();
+        let rs = ids(&traces, &["DE", "PL", "SE", "US-CA"]);
+        let start = year_start(2022);
+        let jobs: Vec<Job> = (0..24u64)
+            .map(|i| {
+                let (origin, arrival) = (rs[i as usize % rs.len()], start.plus(i as usize * 7));
+                let length = 1.0 + (i % 9) as f64;
+                let job = match i % 4 {
+                    0 => Job::batch(i, origin, arrival, length, Slack::Day).with_interruptible(),
+                    1 => Job::batch(i, origin, arrival, length, Slack::TenX).with_interruptible(),
+                    2 => Job::interactive(i, origin, arrival),
+                    _ => Job::batch(i, origin, arrival, length, Slack::Day),
+                };
+                Job {
+                    migratable: i % 3 != 0,
+                    ..job
+                }
+            })
+            .collect();
+        let overheads = OverheadModel {
+            suspend_kwh: 0.03,
+            resume_kwh: 0.02,
+            migrate_kwh_per_gb: 0.05,
+            state_gb: 20.0,
+        };
+        for (name, make) in equivalence_policies() {
+            let run = |stepping| {
+                let config = SimConfig::new(start, 24 * 14, 1)
+                    .with_overheads(overheads)
+                    .with_stepping(stepping);
+                Simulator::new(&traces, &rs, config).run(make().as_mut(), &jobs)
+            };
+            let slot = run(Stepping::SlotPerSlot);
+            assert_same_run(&slot, &run(Stepping::EventDriven), 1e-12, name);
+            assert!(slot.completed_count() >= 20, "{name}: workload must run");
+            match name {
+                "threshold" => assert!(slot.suspends > 0 && slot.resumes > 0),
+                "router" => assert!(slot.migrations > 0 && slot.overhead_g > 0.0),
+                _ => {}
+            }
         }
     }
 
@@ -1309,63 +1116,39 @@ mod tests {
         let rs_hourly = ids(&hourly, &["DE", "SE"]);
         let rs_fine = ids(&fine, &["DE", "SE"]);
         let jobs = equivalence_jobs(&hourly);
-        let fine_jobs = jobs_at_5min(&jobs);
-        let horizon = 24 * 20;
-        let policies: PolicyTable = vec![
-            ("agnostic", || Box::new(CarbonAgnostic)),
-            ("deferral", || Box::new(PlannedDeferral)),
-            ("threshold", || Box::new(ThresholdSuspend::default())),
-            ("router", || Box::new(GreenestRouter)),
-        ];
-        for (name, make) in policies {
-            let mut hourly_sim = Simulator::new(&hourly, &rs_hourly, config(horizon));
-            let coarse = hourly_sim.run(make().as_mut(), &jobs);
-            let fine_report = run_fine(
-                &fine,
-                &rs_fine,
-                make().as_mut(),
-                &fine_jobs,
-                horizon,
-                Stepping::EventDriven,
-            );
-            assert_eq!(
-                coarse.total_emissions_g, fine_report.total_emissions_g,
-                "{name}: totals must be bit-identical"
-            );
-            assert_eq!(
-                coarse.total_energy_kwh, fine_report.total_energy_kwh,
-                "{name}"
-            );
-            assert_eq!(
-                coarse.completed_count(),
-                fine_report.completed_count(),
-                "{name}"
-            );
-            assert_eq!(coarse.unfinished, fine_report.unfinished, "{name}");
-            for (a, b) in coarse.completed.iter().zip(&fine_report.completed) {
-                assert_eq!(a.job.id, b.job.id, "{name}: completion order");
-                assert_eq!(a.region, b.region, "{name}: same region");
-                assert_eq!(b.started.0, a.started.0 * 12, "{name}: scaled start");
-                assert_eq!(
-                    b.finished.0,
-                    a.finished.0 * 12 + 11,
-                    "{name}: finish lands on the last slot of the hour"
-                );
-                assert_eq!(a.emitted_g, b.emitted_g, "{name}: per-job emissions");
-                assert_eq!(a.missed_deadline, b.missed_deadline, "{name}");
-            }
+        let fine_jobs = jobs_on_axis(&jobs, &fine);
+        for (name, make) in equivalence_policies() {
+            let run = |traces, rs: &[RegionId], jobs: &[Job]| {
+                run_on_axis(
+                    traces,
+                    rs,
+                    make().as_mut(),
+                    jobs,
+                    24 * 20,
+                    Stepping::EventDriven,
+                )
+            };
+            let coarse = run(&hourly, &rs_hourly, &jobs);
+            let mut fine_report = run(&fine, &rs_fine, &fine_jobs);
             // Slowdown is a ratio of same-axis quantities, so the 12×
-            // scaling of numerator and denominator cancels exactly.
+            // scaling cancels exactly; waits are reported in hours.
             assert_eq!(
                 coarse.mean_slowdown(),
                 fine_report.mean_slowdown(),
-                "{name}: slowdown is axis-independent"
+                "{name}"
             );
             assert_eq!(
                 coarse.mean_wait_hours(),
                 fine_report.mean_wait_hours(),
-                "{name}: waits are reported in hours on any axis"
+                "{name}"
             );
+            // Starts land on the first slot of the hourly start, and
+            // finishes on the last slot of the hourly finish.
+            for c in &mut fine_report.completed {
+                assert_eq!((c.started.0 % 12, c.finished.0 % 12), (0, 11), "{name}");
+                (c.started, c.finished) = (Hour(c.started.0 / 12), Hour(c.finished.0 / 12));
+            }
+            assert_same_run(&coarse, &fine_report, 0.0, name);
             assert!(coarse.completed_count() >= 5, "{name}: workload must run");
         }
     }

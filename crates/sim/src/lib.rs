@@ -16,8 +16,9 @@
 //! 3. **Capacity effects** — queueing and blocking under finite capacity,
 //!    which the analytic model only approximates.
 //!
-//! Time advances in one-hour steps (the resolution of carbon traces), with
-//! an event calendar for arrivals and planned starts.
+//! Time advances on the dataset's slot axis (hourly or finer), jumping
+//! between structural events; an event calendar holds arrivals and
+//! planned starts.
 
 pub mod accounting;
 pub mod cluster;

@@ -82,9 +82,8 @@ impl std::fmt::Display for PlaceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlaceError::ZeroDuration => write!(f, "duration_hours must be at least 1"),
-            // `Hour`'s Display resolves the calendar year and panics
-            // one-past-the-horizon (exactly where a trace-end bound
-            // sits), so these render the raw index.
+            // Trace bounds may sit one past the calendar horizon and
+            // on any slot axis, so these render the raw index.
             PlaceError::BeforeTraceStart(start) => {
                 write!(
                     f,
@@ -184,11 +183,10 @@ impl Snapshot {
         if arrival < series.start() {
             return Err(PlaceError::BeforeTraceStart(series.start()));
         }
-        let remaining = (series.end().0 - arrival.0) as usize;
-        if remaining < slots {
-            return Err(PlaceError::BeyondTraceEnd(series.end()));
+        match series.end().0.checked_sub(arrival.0) {
+            Some(remaining) if remaining as usize >= slots => Ok(remaining as usize),
+            _ => Err(PlaceError::BeyondTraceEnd(series.end())),
         }
-        Ok(remaining)
     }
 
     /// Answers one placement query: route to the cheapest deferred
@@ -468,6 +466,18 @@ mod tests {
             snap.place(&late),
             Err(PlaceError::BeyondTraceEnd(_))
         ));
+    }
+
+    #[test]
+    fn arrival_past_the_trace_end_is_rejected_not_wrapped() {
+        // Past the builtin's 35,064-hour axis: the slots remaining to
+        // the trace end must not wrap into a count that passes.
+        let snap = snapshot();
+        let mut r = req(&snap, "DE", 0, 0.0);
+        r.arrival = Hour(40_000);
+        let err = snap.place(&r).unwrap_err();
+        assert!(matches!(err, PlaceError::BeyondTraceEnd(_)));
+        assert!(err.to_string().contains("35064"), "{err}");
     }
 
     #[test]

@@ -214,14 +214,6 @@ impl TraceSet {
         self.prefix_cache[id.index()].get_or_init(|| self.series[id.index()].chunked_prefix())
     }
 
-    /// Fallible [`TraceSet::chunked_prefix_by_id`]: `None` for ids that
-    /// do not belong to this set.
-    #[inline]
-    pub fn try_chunked_prefix_by_id(&self, id: RegionId) -> Option<&ChunkedPrefix> {
-        let cell = self.prefix_cache.get(id.index())?;
-        Some(cell.get_or_init(|| self.series[id.index()].chunked_prefix()))
-    }
-
     /// The zone code behind `id` (panics on a foreign id).
     #[inline]
     pub fn code(&self, id: RegionId) -> &str {

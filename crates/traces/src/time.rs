@@ -56,16 +56,25 @@ impl Hour {
     ///
     /// Panics if the hour lies beyond [`LAST_YEAR`].
     pub fn year(self) -> i32 {
+        match self.checked_year() {
+            Some(year) => year,
+            // decarb-analyze: allow(no-panic) -- documented panicking accessor (# Panics: beyond LAST_YEAR)
+            None => panic!("hour {} beyond dataset horizon", self.0),
+        }
+    }
+
+    /// Returns the calendar year containing this hour, or `None` past
+    /// [`LAST_YEAR`].
+    pub fn checked_year(self) -> Option<i32> {
         let mut rest = self.index();
         for year in EPOCH_YEAR..=LAST_YEAR {
             let len = hours_in_year(year);
             if rest < len {
-                return year;
+                return Some(year);
             }
             rest -= len;
         }
-        // decarb-analyze: allow(no-panic) -- documented panicking accessor (# Panics: beyond LAST_YEAR)
-        panic!("hour {} beyond dataset horizon", self.0);
+        None
     }
 
     /// Returns the hour offset within its calendar year.
@@ -85,9 +94,14 @@ impl Hour {
     }
 }
 
+/// Total: error and panic messages format hours, so an index past the
+/// horizon prints raw instead of panicking inside the formatter.
 impl std::fmt::Display for Hour {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}y+{:04}h", self.year(), self.hour_of_year())
+        match self.checked_year() {
+            Some(year) => write!(f, "{year}y+{:04}h", self.index() - year_start(year).index()),
+            None => write!(f, "hour {} (past {LAST_YEAR})", self.0),
+        }
     }
 }
 
@@ -320,6 +334,17 @@ mod tests {
     fn display_formats() {
         let h = year_start(2022).plus(5);
         assert_eq!(format!("{h}"), "2022y+0005h");
+    }
+
+    #[test]
+    fn display_is_total_past_the_horizon() {
+        let end = year_start(LAST_YEAR).plus(hours_in_year(LAST_YEAR));
+        assert_eq!(end.checked_year(), None);
+        assert_eq!(end.to_string(), format!("hour {} (past 2023)", end.0));
+        assert_eq!(
+            Hour(u32::MAX).to_string(),
+            format!("hour {} (past 2023)", u32::MAX)
+        );
     }
 
     #[test]
